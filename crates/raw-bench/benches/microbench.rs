@@ -14,7 +14,7 @@ use raw_workloads::{generate, Workload};
 use raw_xbar::{config, RawRouter, RouterConfig};
 
 /// A saturated 64-byte Figure 7-1 router, ready to run, in one engine
-/// mode (the compiled engine lowers its fabric at construction).
+/// mode.
 fn saturated_router(engine: EngineMode, packets: usize) -> RawRouter {
     let mut cfg = RouterConfig {
         quantum_words: 16,
@@ -60,7 +60,7 @@ fn bench_router(c: &mut Criterion) {
 }
 
 /// The cycle engine itself: simulated cycles per second of host time in
-/// every engine mode, reported as Mcycles/s via the group throughput
+/// both engine modes, reported as Mcycles/s via the group throughput
 /// (one element = one simulated machine cycle). The saturated router
 /// isolates the hot step path (line cards offer a word every cycle, so
 /// event-skip never engages); the throttled drip-feed pipe isolates the
@@ -92,70 +92,6 @@ fn bench_sim_speed(c: &mut Criterion) {
                 let rep = raw_bench::simspeed_drip_once(DRIP_WORDS, DRIP_INTERVAL, engine);
                 std::hint::black_box(rep)
             })
-        });
-    }
-    g.finish();
-}
-
-/// The tentpole guardrail: the schedule-specialized step function
-/// against the interpreted step on a bare always-busy machine (a
-/// saturated forwarding pipe across the top row — no line cards, no
-/// packet framing), construction excluded, rates in Mcycles/s.
-/// `compiled` must beat `event-skip` here or the specialization is
-/// regressing.
-fn bench_compiled_step(c: &mut Criterion) {
-    use raw_sim::{
-        Dir, EdgePort, NullSink, RawConfig, RawMachine, Route, SwPort, SwitchCtrl, SwitchInstr,
-        SwitchProgram, WordSource, NET0,
-    };
-    const SPAN: u64 = 50_000;
-
-    let streaming_machine = |engine: EngineMode| -> RawMachine {
-        let cfg = RawConfig {
-            engine,
-            ..RawConfig::default()
-        };
-        let dim = cfg.dim;
-        let mut m = RawMachine::new(cfg);
-        let forward = SwitchProgram::new(vec![SwitchInstr::new(
-            vec![Route::new(
-                NET0,
-                SwPort::from_dir(Dir::West),
-                SwPort::from_dir(Dir::East),
-            )],
-            SwitchCtrl::Jump(0),
-        )]);
-        for c in 0..dim.cols {
-            m.set_switch_program(dim.tile(0, c), NET0, forward.clone());
-        }
-        m.bind_device(
-            EdgePort::new(dim.tile(0, 0), Dir::West, NET0),
-            Box::new(WordSource::new(0..(SPAN as u32 + 64))),
-        );
-        m.bind_device(
-            EdgePort::new(dim.tile(0, dim.cols - 1), Dir::East, NET0),
-            Box::new(NullSink::default()),
-        );
-        if engine == EngineMode::Compiled {
-            raw_compile::compile_machine(&mut m, &raw_compile::CompileOptions::default())
-                .expect("pipe compiles");
-        }
-        m
-    };
-
-    let mut g = c.benchmark_group("compiled_step");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(SPAN));
-    for engine in ENGINES {
-        g.bench_function(format!("streaming_pipe_{}", engine_name(engine)), |b| {
-            b.iter_batched(
-                || streaming_machine(engine),
-                |mut m| {
-                    m.run(SPAN);
-                    m.routes_fired
-                },
-                BatchSize::PerIteration,
-            )
         });
     }
     g.finish();
@@ -325,7 +261,6 @@ criterion_group!(
     benches,
     bench_router,
     bench_sim_speed,
-    bench_compiled_step,
     bench_telemetry,
     bench_scheduler,
     bench_sched_arbiter,

@@ -374,7 +374,7 @@ fn run_simspeed() {
             .unwrap_or_else(|_| panic!("simspeed: '{s}' is not a repeat count")),
     };
     println!(
-        "== simulator performance: wall-clock per engine ({cycles} router cycles, \
+        "== simulator performance: wall-clock per engine mode ({cycles} router cycles, \
          median of {repeats}) =="
     );
     let rep = simspeed_with(cycles, repeats);
@@ -405,8 +405,6 @@ fn run_simspeed() {
             vec![
                 s.scenario.clone(),
                 format!("{:.2}x", s.event_skip_vs_per_cycle),
-                format!("{:.2}x", s.compiled_vs_per_cycle),
-                format!("{:.2}x", s.compiled_vs_event_skip),
                 if s.fingerprints_match {
                     "identical"
                 } else {
@@ -416,19 +414,7 @@ fn run_simspeed() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table(
-            &[
-                "scenario",
-                "skip/percyc",
-                "compiled/percyc",
-                "compiled/skip",
-                "results"
-            ],
-            &srows
-        )
-    );
+    println!("{}", table(&["scenario", "skip/percyc", "results"], &srows));
     for s in &rep.speedups {
         assert!(
             s.fingerprints_match,
@@ -437,8 +423,8 @@ fn run_simspeed() {
         );
     }
     write_json(&results_dir(), "simspeed", &rep).unwrap();
-    // CI-diffable digest at the repo root: the speedup matrix and
-    // per-engine throughput, without raw wall times.
+    // CI-diffable digest at the repo root: the speedup and per-mode
+    // throughput, without raw wall times.
     write_bench_digest("simspeed", &bench_digest(&rep)).unwrap();
 }
 

@@ -1,17 +1,16 @@
 //! Simulator-performance measurement (`repro -- simspeed`).
 //!
-//! Times representative workloads under all three cycle engines —
-//! per-cycle interpreter, event-skip, and the schedule-specialization
-//! compiled engine — and reports simulated Mcycles per wall-clock
-//! second. Each scenario also produces a result fingerprint so the
-//! table doubles as a determinism check: a speedup is only admissible
-//! if every engine computed the same thing.
+//! Times representative workloads under both engine modes — per-cycle
+//! (skipping off) and event-skip — and reports simulated Mcycles per
+//! wall-clock second. Each scenario also produces a result fingerprint
+//! so the table doubles as a determinism check: a speedup is only
+//! admissible if both modes computed the same thing.
 //!
 //! Scenarios:
 //! - `router-peak-64B` / `router-peak-1024B`: the Figure 7-1 peak
 //!   pipeline at saturation. Line cards offer a word every cycle, so
-//!   event-skip never engages — these rows isolate the compiled
-//!   engine's pre-resolved step structures against the interpreter.
+//!   event-skip never engages — these rows time the busy-cycle step
+//!   itself.
 //! - `router-avg-64B` / `router-avg-1024B`: the Figure 7-1 "average"
 //!   corner (uniform random destinations instead of the peak
 //!   permutation), where contention stalls reshape the hot path.
@@ -36,20 +35,15 @@ use raw_xbar::{RawRouter, RouterConfig};
 
 use crate::experiment_table;
 
-/// The engine sweep order; per-cycle first so every later row's speedup
-/// denominator precedes it in the table.
-pub const ENGINES: [EngineMode; 3] = [
-    EngineMode::PerCycle,
-    EngineMode::EventSkip,
-    EngineMode::Compiled,
-];
+/// The engine sweep order; per-cycle first so the speedup denominator
+/// precedes it in the table.
+pub const ENGINES: [EngineMode; 2] = [EngineMode::PerCycle, EngineMode::EventSkip];
 
 /// Stable engine label used in reports and JSON.
 pub fn engine_name(e: EngineMode) -> &'static str {
     match e {
         EngineMode::PerCycle => "per-cycle",
         EngineMode::EventSkip => "event-skip",
-        EngineMode::Compiled => "compiled",
     }
 }
 
@@ -66,7 +60,7 @@ pub struct SpeedRow {
     /// consumer of this table uses, including the criterion group).
     pub mcycles_per_sec: f64,
     /// Scenario-defined digest of the simulation's observable results;
-    /// must match across all engine modes.
+    /// must match across engine modes.
     pub fingerprint: String,
 }
 
@@ -82,16 +76,12 @@ pub struct SpeedReport {
     pub speedups: Vec<ScenarioSpeedup>,
 }
 
-/// Per-scenario speedup matrix, all ratios of median wall times.
+/// Per-scenario speedup, a ratio of median wall times.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ScenarioSpeedup {
     pub scenario: String,
     /// wall(per-cycle) / wall(event-skip).
     pub event_skip_vs_per_cycle: f64,
-    /// wall(per-cycle) / wall(compiled).
-    pub compiled_vs_per_cycle: f64,
-    /// wall(event-skip) / wall(compiled) — the tentpole's headline.
-    pub compiled_vs_event_skip: f64,
     pub fingerprints_match: bool,
 }
 
@@ -129,8 +119,6 @@ fn router_scenario(w: &Workload, span: u64, engine: EngineMode) -> (u64, String)
         ..RouterConfig::default()
     };
     cfg.raw.engine = engine;
-    // `RawRouter` compiles its own fabric at construction when the
-    // compiled engine is selected, so nothing more to do here.
     let mut r = RawRouter::new(cfg, experiment_table());
     for sp in generate(w) {
         r.offer(sp.port, sp.release, &sp.packet);
@@ -178,10 +166,6 @@ fn drip_scenario(words: u32, interval: u64, engine: EngineMode) -> (u64, String)
         EdgePort::new(dim.tile(0, dim.cols - 1), Dir::East, NET0),
         Box::new(sink),
     );
-    if engine == EngineMode::Compiled {
-        raw_compile::compile_machine(&mut m, &raw_compile::CompileOptions::default())
-            .expect("drip fabric compiles");
-    }
     let span = (words as u64 + 16) * interval;
     m.run(span);
     let got = collected.lock().unwrap();
@@ -196,13 +180,6 @@ pub fn simspeed_drip_once(words: u32, interval: u64, engine: EngineMode) -> (u64
     drip_scenario(words, interval, engine)
 }
 
-/// One Figure 7-1 router run, exposed for the `compiled_step` criterion
-/// group: peak workload at `bytes`, `span` machine cycles.
-pub fn simspeed_router_once(bytes: usize, span: u64, engine: EngineMode) -> (u64, String) {
-    let packets = ((span as usize) / (bytes / 4)).clamp(64, 8000);
-    router_scenario(&Workload::peak(bytes, packets), span, engine)
-}
-
 /// A machine with no programs, no devices, nothing to do.
 fn idle_scenario(span: u64, engine: EngineMode) -> (u64, String) {
     let cfg = RawConfig {
@@ -210,10 +187,6 @@ fn idle_scenario(span: u64, engine: EngineMode) -> (u64, String) {
         ..RawConfig::default()
     };
     let mut m = RawMachine::new(cfg);
-    if engine == EngineMode::Compiled {
-        raw_compile::compile_machine(&mut m, &raw_compile::CompileOptions::default())
-            .expect("idle fabric compiles");
-    }
     m.run(span);
     let idle: u64 = (0..m.last_activities().len())
         .map(|t| m.stats(raw_sim::TileId(t as u16)).counts[0])
@@ -223,7 +196,7 @@ fn idle_scenario(span: u64, engine: EngineMode) -> (u64, String) {
 
 type Scenario = (String, Box<dyn Fn(EngineMode) -> (u64, String)>);
 
-/// Run every scenario under every engine. `router_cycles` scales the
+/// Run every scenario under both engine modes. `router_cycles` scales the
 /// router scenarios (the CI smoke test passes a small span; the default
 /// matches the Figure 7-1 measurement run). `repeats` runs behind each
 /// median — use 1 for smoke, 3+ for reportable numbers.
@@ -288,14 +261,11 @@ pub fn simspeed_with(router_cycles: u64, repeats: u32) -> SpeedReport {
                 fingerprint,
             });
         }
-        let (pc, es, co) = (&cells[0], &cells[1], &cells[2]);
+        let (pc, es) = (&cells[0], &cells[1]);
         speedups.push(ScenarioSpeedup {
             scenario: name.clone(),
             event_skip_vs_per_cycle: pc.wall_ms / es.wall_ms,
-            compiled_vs_per_cycle: pc.wall_ms / co.wall_ms,
-            compiled_vs_event_skip: es.wall_ms / co.wall_ms,
-            fingerprints_match: pc.fingerprint == es.fingerprint
-                && es.fingerprint == co.fingerprint,
+            fingerprints_match: pc.fingerprint == es.fingerprint,
         });
         rows.extend(cells);
     }
@@ -318,15 +288,12 @@ pub struct BenchScenario {
     pub scenario: String,
     pub per_cycle_mcps: f64,
     pub event_skip_mcps: f64,
-    pub compiled_mcps: f64,
     pub event_skip_vs_per_cycle: f64,
-    pub compiled_vs_per_cycle: f64,
-    pub compiled_vs_event_skip: f64,
     pub fingerprints_match: bool,
 }
 
 /// The digest written to `BENCH_simspeed.json` at the repo root:
-/// per-scenario Mcycles/s per engine plus the speedup matrix, rounded
+/// per-scenario Mcycles/s per engine mode plus the speedup, rounded
 /// to two decimals, with no raw wall times.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BenchDigest {
@@ -354,10 +321,7 @@ pub fn bench_digest(rep: &SpeedReport) -> BenchDigest {
                 scenario: s.scenario.clone(),
                 per_cycle_mcps: mcps(&s.scenario, "per-cycle"),
                 event_skip_mcps: mcps(&s.scenario, "event-skip"),
-                compiled_mcps: mcps(&s.scenario, "compiled"),
                 event_skip_vs_per_cycle: round2(s.event_skip_vs_per_cycle),
-                compiled_vs_per_cycle: round2(s.compiled_vs_per_cycle),
-                compiled_vs_event_skip: round2(s.compiled_vs_event_skip),
                 fingerprints_match: s.fingerprints_match,
             })
             .collect(),
@@ -374,26 +338,23 @@ mod tests {
         for s in &rep.speedups {
             assert!(
                 s.fingerprints_match,
-                "{}: engines diverged on observable results",
+                "{}: engine modes diverged on observable results",
                 s.scenario
             );
         }
-        // 6 scenarios × 3 engines.
-        assert_eq!(rep.rows.len(), 18);
+        // 6 scenarios × 2 engine modes.
+        assert_eq!(rep.rows.len(), 12);
         assert!(rep.rows.iter().all(|r| r.mcycles_per_sec > 0.0));
     }
 
     #[test]
     fn drip_feed_skips_most_cycles() {
-        // The throttled pipe must produce identical deliveries in every
-        // mode (the digest covers cycle stamps, not just values).
+        // The throttled pipe must produce identical deliveries in both
+        // modes (the digest covers cycle stamps, not just values).
         let (c1, fp1) = drip_scenario(256, 64, EngineMode::EventSkip);
         let (c2, fp2) = drip_scenario(256, 64, EngineMode::PerCycle);
-        let (c3, fp3) = drip_scenario(256, 64, EngineMode::Compiled);
         assert_eq!(c1, c2);
         assert_eq!(fp1, fp2);
-        assert_eq!(c1, c3);
-        assert_eq!(fp1, fp3);
         assert!(fp1.contains("delivered=256"));
     }
 }

@@ -3,8 +3,8 @@
 //! Two guarantees, both load-bearing for every number in `results/`:
 //! 1. Reproducibility — the same experiment run twice produces
 //!    byte-identical metrics and traces (no hidden host-dependent state).
-//! 2. Engine equivalence — event-skip fast-forwarding and the compiled
-//!    engine produce results bit-identical to per-cycle stepping:
+//! 2. Engine equivalence — event-skip fast-forwarding produces results
+//!    bit-identical to per-cycle stepping:
 //!    throughput, per-tile activity statistics, switch stalls, the full
 //!    Figure 7-3 trace, and chaos-campaign fingerprints under an active
 //!    fault plan.
@@ -14,11 +14,7 @@ use raw_telemetry::{shared, NullSink, Recorder, SharedSink};
 use raw_workloads::{generate, Workload};
 use raw_xbar::{RawRouter, RouterConfig};
 
-const ALL_ENGINES: [EngineMode; 3] = [
-    EngineMode::PerCycle,
-    EngineMode::EventSkip,
-    EngineMode::Compiled,
-];
+const ALL_ENGINES: [EngineMode; 2] = [EngineMode::PerCycle, EngineMode::EventSkip];
 
 /// A fig7-1-peak-style run at one packet size with a fig7-3-style trace
 /// window, distilled to two strings: a metrics fingerprint and the full
@@ -41,11 +37,6 @@ fn traced_peak_with(
     cfg.raw.engine = engine;
     let mut r = RawRouter::try_new_with_telemetry(cfg, raw_bench::experiment_table(), telemetry)
         .expect("router builds");
-    assert_eq!(
-        r.machine.has_compiled_plan(),
-        engine == EngineMode::Compiled,
-        "router must compile its fabric exactly when the compiled engine is selected"
-    );
     for sp in generate(&Workload::peak(bytes, 800)) {
         r.offer(sp.port, sp.release, &sp.packet);
     }
@@ -87,11 +78,9 @@ fn peak_run_is_reproducible() {
 #[test]
 fn every_engine_matches_per_cycle_reference() {
     let (m_ref, t_ref) = traced_peak(256, EngineMode::PerCycle);
-    for engine in [EngineMode::EventSkip, EngineMode::Compiled] {
-        let (m, t) = traced_peak(256, engine);
-        assert_eq!(m, m_ref, "metrics diverged ({engine:?} vs per-cycle)");
-        assert_eq!(t, t_ref, "trace diverged ({engine:?} vs per-cycle)");
-    }
+    let (m, t) = traced_peak(256, EngineMode::EventSkip);
+    assert_eq!(m, m_ref, "metrics diverged (event-skip vs per-cycle)");
+    assert_eq!(t, t_ref, "trace diverged (event-skip vs per-cycle)");
 }
 
 #[test]
@@ -117,10 +106,9 @@ fn telemetry_sink_never_changes_the_golden_run() {
 
 #[test]
 fn engines_agree_under_an_active_fault_plan() {
-    // The compiled engine must remain bit-identical to the interpreter
-    // when a chaos fault plan is live: corrupted packets, forced lookup
-    // misses, scheduled tile stalls, and input pauses all hit the
-    // fallback-free compiled path.
+    // Event-skip must remain bit-identical to per-cycle stepping when a
+    // chaos fault plan is live: corrupted packets, forced lookup misses,
+    // scheduled tile stalls, and input pauses.
     use raw_chaos::{run_chaos, FaultPlan};
 
     let sched = generate(&Workload::average(128, 120, 11));
@@ -157,10 +145,6 @@ fn engines_agree_under_an_active_fault_plan() {
     assert_eq!(
         results[0], results[1],
         "event-skip diverged from per-cycle under faults"
-    );
-    assert_eq!(
-        results[0], results[2],
-        "compiled diverged from per-cycle under faults"
     );
 }
 

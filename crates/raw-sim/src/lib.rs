@@ -16,7 +16,9 @@
 //!   at a time, deterministically.
 //! * [`switch`] — the static switch processor: per-cycle routes with
 //!   flow control, multicast duplication, all-routes-complete instruction
-//!   semantics, jumps, and processor-loaded program counters.
+//!   semantics, jumps, and processor-loaded program counters. Each
+//!   program's routes are resolved to concrete FIFOs once, when it is
+//!   installed.
 //! * [`dynamic`] — wormhole, dimension-ordered dynamic networks.
 //! * [`cache`] — the 8K-word 2-way data cache with write-back timing.
 //! * [`program`] — cycle-stepped tile programs with the paper's cost
@@ -37,21 +39,17 @@
 //! belongs to the programs, not the fabric.
 
 pub mod cache;
-pub mod compiled;
 pub mod device;
 pub mod dynamic;
 pub mod fifo;
 pub mod geom;
 pub mod machine;
 pub mod program;
+mod resolved;
 pub mod switch;
 pub mod trace;
 
 pub use cache::{Access, CacheConfig, DCache, MissModel};
-pub use compiled::{
-    CompiledDst, CompiledInstr, CompiledPlan, CompiledRoute, CompiledSrc, CompiledSwitch,
-    InjectorSlot,
-};
 pub use device::{EdgeDevice, EdgePort, NullSink, SinkHandle, WordSink, WordSource};
 pub use dynamic::{pack_header, unpack_header, DynNet};
 pub use fifo::TsFifo;

@@ -18,8 +18,9 @@ use crate::device::{EdgeDevice, EdgePort};
 use crate::dynamic::DynNet;
 use crate::fifo::TsFifo;
 use crate::geom::{GridDim, TileId};
-use crate::program::{mem_grow_target, IdleProgram, TileIo, TileProgram};
-use crate::switch::{Route, SwPort, SwitchCtrl, SwitchProgram, SwitchState, NUM_STATIC_NETS};
+use crate::program::{mem_grow_target, TileIo, TileProgram};
+use crate::resolved::{edge_slot, resolve_program, ResolvedProgram};
+use crate::switch::{SwitchProgram, SwitchState, NUM_STATIC_NETS};
 use crate::trace::{Activity, TileStats, TraceWindow};
 use raw_telemetry::{SharedSink, SwitchStallCause, TileState};
 
@@ -63,25 +64,18 @@ pub(crate) fn refine_state(
     }
 }
 
-/// How the machine advances simulated time. All three engines produce
-/// bit-identical results — statistics, traces, telemetry, word timing —
-/// on every workload; they differ only in how much host work each
-/// simulated cycle costs. The determinism test suite compares all modes
-/// pairwise.
+/// How the machine advances simulated time. Both modes step busy cycles
+/// through the same engine and produce bit-identical results —
+/// statistics, traces, telemetry, word timing — on every workload; they
+/// differ only in whether provably quiet stretches are skipped. The
+/// determinism test suite compares them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineMode {
-    /// Step every cycle through the interpreter. The reference engine.
+    /// Step every cycle, skipping nothing. The reference (oracle) mode.
     PerCycle,
-    /// Interpret busy cycles, but jump over provably quiet stretches in
-    /// bulk (event-skip fast-forward). The default.
+    /// Jump over provably quiet stretches in bulk (event-skip
+    /// fast-forward). The default.
     EventSkip,
-    /// Run schedule-specialized switch programs (see [`crate::compiled`])
-    /// with decode, endpoint resolution, and device lookups resolved at
-    /// compile time, plus event-skip over quiet stretches. Falls back to
-    /// the interpreter transparently — per switch for uncompiled
-    /// programs, and machine-wide whenever no compiled plan is installed
-    /// (e.g. after a structural mutation invalidates it).
-    Compiled,
 }
 
 impl EngineMode {
@@ -113,27 +107,9 @@ pub struct RawConfig {
     pub cdni_capacity: usize,
     /// Clock frequency used to convert cycles to seconds (Raw: 250 MHz).
     pub clock_mhz: u64,
-    /// Which engine advances simulated time (see [`EngineMode`]). Every
-    /// mode is bit-identical to [`EngineMode::PerCycle`]; they trade host
-    /// work per simulated cycle.
+    /// Whether quiet stretches are skipped (see [`EngineMode`]). Both
+    /// modes are bit-identical; they trade host work per simulated cycle.
     pub engine: EngineMode,
-}
-
-impl RawConfig {
-    /// Compatibility shim for the old `fast_forward: bool` field: `true`
-    /// maps to [`EngineMode::EventSkip`], `false` to
-    /// [`EngineMode::PerCycle`].
-    #[deprecated(note = "set `engine: EngineMode` directly")]
-    pub fn with_fast_forward(fast_forward: bool) -> RawConfig {
-        RawConfig {
-            engine: if fast_forward {
-                EngineMode::EventSkip
-            } else {
-                EngineMode::PerCycle
-            },
-            ..RawConfig::default()
-        }
-    }
 }
 
 impl Default for RawConfig {
@@ -157,8 +133,10 @@ impl Default for RawConfig {
 }
 
 pub(crate) struct Tile {
+    /// `None` until `set_program` installs one: such a tile records
+    /// `Activity::Idle` each cycle, what `IdleProgram` would, without
+    /// building a `TileIo` to tick.
     pub(crate) program: Option<Box<dyn TileProgram>>,
-    pub(crate) switch_prog: [SwitchProgram; NUM_STATIC_NETS],
     pub(crate) switch_state: [SwitchState; NUM_STATIC_NETS],
     pub(crate) cache: DCache,
     /// Local memory backing store, materialized lazily in chunks up to
@@ -179,6 +157,9 @@ pub struct RawMachine {
     pub(crate) cfg: RawConfig,
     pub(crate) cycle: u64,
     pub(crate) tiles: Vec<Tile>,
+    /// Installed switch programs in resolved form (see the `resolved`
+    /// module), indexed `tile * NUM_STATIC_NETS + net`.
+    switches: Vec<ResolvedProgram>,
     /// Static-network link input FIFOs: `link_in[tile][net][dir]` holds
     /// words that arrived *at* `tile` from direction `dir` and await
     /// routing by `tile`'s switch.
@@ -190,6 +171,10 @@ pub struct RawMachine {
     /// `BTreeMap<EdgePort, usize>` that sat on the per-route hot path.
     device_table: Vec<u16>,
     device_ports: Vec<EdgePort>,
+    /// Indices of the bound devices that may inject
+    /// ([`EdgeDevice::is_injector`]), in bind order: the injection phase
+    /// polls only these.
+    injectors: Vec<u16>,
     pub(crate) trace: Option<TraceWindow>,
     /// Attached telemetry sink. `None` (the default) costs one branch per
     /// cycle phase and nothing else — the event-skip fast path and the
@@ -227,12 +212,6 @@ pub struct RawMachine {
     /// Total static-network route firings.
     pub routes_fired: u64,
     pub(crate) dyn_moved_before: u64,
-    /// Schedule-specialized execution plan (see [`crate::compiled`]).
-    /// Installed by a compiler pass; any structural mutation — new
-    /// program, new switch program, new device binding — invalidates it,
-    /// after which [`EngineMode::Compiled`] transparently degrades to the
-    /// event-skip interpreter until a fresh plan is installed.
-    pub(crate) plan: Option<Box<crate::compiled::CompiledPlan>>,
 }
 
 /// Sentinel for an unbound slot in `RawMachine::device_table`.
@@ -243,8 +222,7 @@ impl RawMachine {
         let n = cfg.dim.tiles();
         let tiles = (0..n)
             .map(|_| Tile {
-                program: Some(Box::new(IdleProgram)),
-                switch_prog: std::array::from_fn(|_| SwitchProgram::idle()),
+                program: None,
                 switch_state: std::array::from_fn(|_| SwitchState::new()),
                 cache: DCache::new(cfg.cache, cfg.miss_model, cfg.dirty_evict_penalty),
                 mem: Vec::new(),
@@ -262,6 +240,10 @@ impl RawMachine {
                 })
             })
             .collect();
+        // The idle program has no routes, so its resolved form is the
+        // same on every switch.
+        let idle = resolve_program(cfg.dim, TileId(0), 0, &SwitchProgram::idle());
+        let switches = vec![idle; n * NUM_STATIC_NETS];
         let dyn_nets = (0..2)
             .map(|_| DynNet::new(cfg.dim, cfg.dyn_fifo_capacity, cfg.cdni_capacity))
             .collect();
@@ -269,11 +251,13 @@ impl RawMachine {
             cfg,
             cycle: 0,
             tiles,
+            switches,
             link_in,
             dyn_nets,
             devices: Vec::new(),
             device_table: vec![NO_DEVICE; n * NUM_STATIC_NETS * 4],
             device_ports: Vec::new(),
+            injectors: Vec::new(),
             trace: None,
             telemetry: None,
             telemetry_active: false,
@@ -287,7 +271,6 @@ impl RawMachine {
             edge_drops: 0,
             routes_fired: 0,
             dyn_moved_before: 0,
-            plan: None,
         }
     }
 
@@ -303,15 +286,17 @@ impl RawMachine {
         self.cycle
     }
 
-    /// Install a tile-processor program. Invalidates any installed
-    /// compiled plan (the plan caches which tiles are idle stubs).
+    /// Install a tile-processor program.
     pub fn set_program(&mut self, tile: TileId, program: Box<dyn TileProgram>) {
-        self.plan = None;
         self.tiles[tile.index()].program = Some(program);
     }
 
     /// Install the switch program driving static network `net` at `tile`
-    /// (PC reset to 0). Every route in the program must target `net`.
+    /// (PC reset to 0), resolving its routes once into the form the
+    /// switch step runs (see the `resolved` module). Panics unless every
+    /// route targets `net` and the program passes
+    /// [`SwitchProgram::validate`]: its fields are public, so a program
+    /// assembled through them may bypass [`crate::SwitchInstr::new`].
     ///
     /// Modeling note: real Raw has a single switch processor per tile
     /// whose instruction controls both static crossbars; this simulator
@@ -330,38 +315,38 @@ impl RawMachine {
                 );
             }
         }
-        self.plan = None;
-        let t = &mut self.tiles[tile.index()];
-        t.switch_prog[net] = prog;
-        t.switch_state[net] = SwitchState::new();
+        if let Err(e) = prog.validate() {
+            panic!("invalid switch program for tile {} net {net}: {e}", tile.0);
+        }
+        self.switches[tile.index() * NUM_STATIC_NETS + net] =
+            resolve_program(self.cfg.dim, tile, net, &prog);
+        self.tiles[tile.index()].switch_state[net] = SwitchState::new();
     }
 
-    /// Index into `device_table` for an edge port's coordinates.
+    /// The device bound at device-table `slot` (see `edge_slot`), if any.
     #[inline]
-    fn port_slot(&self, tile: usize, net: usize, dir: usize) -> usize {
-        (tile * NUM_STATIC_NETS + net) * 4 + dir
-    }
-
-    /// The device bound at `(tile, net, dir)`, if any.
-    #[inline]
-    pub(crate) fn device_at(&self, tile: usize, net: usize, dir: usize) -> Option<usize> {
-        match self.device_table[self.port_slot(tile, net, dir)] {
+    pub(crate) fn device_in_slot(&self, slot: usize) -> Option<usize> {
+        match self.device_table[slot] {
             NO_DEVICE => None,
             i => Some(i as usize),
         }
     }
 
+    /// The device bound at `(tile, net, dir)`, if any.
+    #[inline]
+    fn device_at(&self, tile: usize, net: usize, dir: usize) -> Option<usize> {
+        self.device_in_slot(edge_slot(tile, net, dir))
+    }
+
     /// Bind a device to an edge port. Panics if the port is interior or
-    /// already bound. Invalidates any installed compiled plan (the plan
-    /// caches device endpoints and the injector set).
+    /// already bound.
     pub fn bind_device(&mut self, port: EdgePort, dev: Box<dyn EdgeDevice>) {
-        self.plan = None;
         assert!(
             self.cfg.dim.is_edge(port.tile, port.dir),
             "{:?} is not an edge port",
             port
         );
-        let slot = self.port_slot(port.tile.index(), port.net, port.dir.index());
+        let slot = edge_slot(port.tile.index(), port.net, port.dir.index());
         assert!(
             self.device_table[slot] == NO_DEVICE,
             "{:?} already has a device",
@@ -369,6 +354,9 @@ impl RawMachine {
         );
         assert!(self.devices.len() < NO_DEVICE as usize);
         self.device_table[slot] = self.devices.len() as u16;
+        if dev.is_injector() {
+            self.injectors.push(self.devices.len() as u16);
+        }
         self.device_ports.push(port);
         self.devices.push(dev);
     }
@@ -430,39 +418,6 @@ impl RawMachine {
                 .resize(mem_grow_target(end, self.cfg.local_mem_words), 0);
         }
         t.mem[base..end].copy_from_slice(words);
-    }
-
-    /// Read-only introspection: the switch program installed for `net` at
-    /// `tile`. Lets static analyses (the `raw-verify` crate) audit exactly
-    /// what a constructed machine will execute, without re-deriving it
-    /// from the codegen inputs.
-    pub fn switch_program(&self, tile: TileId, net: usize) -> &SwitchProgram {
-        &self.tiles[tile.index()].switch_prog[net]
-    }
-
-    /// Read-only introspection: every edge port with a bound device — the
-    /// set of off-grid links a schedule may legitimately route through.
-    /// A port's position in this slice is its device index (bind order),
-    /// stable for the lifetime of the machine.
-    pub fn bound_device_ports(&self) -> &[EdgePort] {
-        &self.device_ports
-    }
-
-    /// Read-only introspection: may the device at index `i` (position in
-    /// [`RawMachine::bound_device_ports`]) ever inject a word? Pure sinks
-    /// return false, letting a compiled plan skip their `pull_in` poll.
-    pub fn device_is_injector(&self, i: usize) -> bool {
-        self.devices[i].is_injector()
-    }
-
-    /// Read-only introspection: is the processor at `tile` the idle stub
-    /// (no installed program, or one whose tick is a guaranteed no-op)?
-    /// A compiled plan gives such tiles a zero-cost idle path.
-    pub fn program_is_idle(&self, tile: TileId) -> bool {
-        match &self.tiles[tile.index()].program {
-            Some(p) => p.is_idle_stub(),
-            None => true,
-        }
     }
 
     /// Diagnostic: occupancy of a static-network link input FIFO.
@@ -550,23 +505,9 @@ impl RawMachine {
         self.cycle.saturating_sub(self.last_progress)
     }
 
-    /// Advance one cycle (through whichever engine is configured).
+    /// Advance one cycle.
     pub fn step(&mut self) {
-        self.step_cycle_engine();
-    }
-
-    /// One cycle through the configured engine: the compiled plan when
-    /// `EngineMode::Compiled` has one installed, the interpreter
-    /// otherwise. Bit-identical either way.
-    pub(crate) fn step_cycle_engine(&mut self) -> bool {
-        if self.cfg.engine == EngineMode::Compiled {
-            if let Some(plan) = self.plan.take() {
-                let quiet = self.step_cycle_compiled(&plan);
-                self.plan = Some(plan);
-                return quiet;
-            }
-        }
-        self.step_cycle()
+        self.step_cycle();
     }
 
     /// Advance one cycle. Returns true when the cycle was *quiet*: nothing
@@ -580,12 +521,14 @@ impl RawMachine {
         let cycle = self.cycle;
         let mut progress = false;
 
-        // 1. Device injection at edge input FIFOs.
-        for i in 0..self.devices.len() {
-            let port = self.device_ports[i];
+        // 1. Device injection at edge input FIFOs. Devices that never
+        // inject return `None` from `pull_in`, so only injectors are
+        // polled.
+        for &i in &self.injectors {
+            let port = self.device_ports[i as usize];
             let fifo = &mut self.link_in[port.tile.index()][port.net][port.dir.index()];
             if fifo.has_space() {
-                if let Some(w) = self.devices[i].pull_in(cycle) {
+                if let Some(w) = self.devices[i as usize].pull_in(cycle) {
                     let ok = fifo.push(w, cycle);
                     debug_assert!(ok);
                     progress = true;
@@ -596,9 +539,17 @@ impl RawMachine {
         // 2. Tile processors.
         progress |= self.step_processors(cycle);
 
-        // 3. Switch processors.
-        let (sw_progress, sw_ctrl) = self.step_switches(cycle);
-        progress |= sw_progress;
+        // 3. Switch processors. The resolved programs are moved out for
+        // the phase so each switch can read its program in place while
+        // firing routes into the machine.
+        let mut sw_ctrl = false;
+        let switches = std::mem::take(&mut self.switches);
+        for (i, prog) in switches.iter().enumerate() {
+            let (p, c) = self.step_switch(i / NUM_STATIC_NETS, i % NUM_STATIC_NETS, prog, cycle);
+            progress |= p;
+            sw_ctrl |= c;
+        }
+        self.switches = switches;
 
         // 4. Dynamic networks.
         for d in &mut self.dyn_nets {
@@ -691,248 +642,6 @@ impl RawMachine {
         progress
     }
 
-    /// Returns `(progress, control_transition)`: whether any route fired,
-    /// and whether any switch advanced through a route-less instruction
-    /// (which changes switch state without counting as progress — a cycle
-    /// containing one must not be skipped over).
-    fn step_switches(&mut self, cycle: u64) -> (bool, bool) {
-        let mut progress = false;
-        let mut ctrl = false;
-        let n = self.tiles.len();
-        for t in 0..n {
-            for net in 0..NUM_STATIC_NETS {
-                let (p, c) = self.step_switch(t, net, cycle);
-                progress |= p;
-                ctrl |= c;
-            }
-        }
-        (progress, ctrl)
-    }
-
-    /// Returns `(progress, control_transition)` for one switch.
-    pub(crate) fn step_switch(&mut self, t: usize, net: usize, cycle: u64) -> (bool, bool) {
-        self.tiles[t].switch_state[net].apply_pending_pc(cycle);
-        if self.tiles[t].switch_state[net].halted {
-            return (false, false);
-        }
-        let pc = self.tiles[t].switch_state[net].pc;
-        if pc >= self.tiles[t].switch_prog[net].instrs.len() {
-            self.tiles[t].switch_state[net].halted = true;
-            return (false, true);
-        }
-        // Borrow the program out of the tile for the duration of the tick
-        // so routes can be read in place — the old per-cycle
-        // `instrs.get(pc).cloned()` allocated a fresh route Vec for every
-        // switch every cycle.
-        let prog = std::mem::take(&mut self.tiles[t].switch_prog[net]);
-        let instr = &prog.instrs[pc];
-        let routes = instr.routes.as_slice();
-        let nroutes = routes.len();
-        debug_assert!(nroutes <= 32, "route set exceeds the fired bitmask");
-        let ctrl_op = instr.ctrl;
-        // Fire route groups (routes sharing a (net, src) fire together,
-        // duplicating the word across destinations). Groups are bitmasks
-        // over the instruction's route list, like `fired` itself.
-        let mut fired = self.tiles[t].switch_state[net].fired;
-        let mut any_fired = false;
-        // First refused group's block cause, for stall attribution —
-        // computed only while a telemetry sink is attached.
-        let attribute = self.telemetry_active;
-        let mut block_cause: Option<SwitchStallCause> = None;
-        let mut gi = 0;
-        while gi < nroutes {
-            if fired & (1 << gi) != 0 {
-                gi += 1;
-                continue;
-            }
-            let lead = routes[gi];
-            let mut group: u32 = 0;
-            for (j, r) in routes.iter().enumerate().skip(gi) {
-                if fired & (1 << j) == 0 && r.net == lead.net && r.src == lead.src {
-                    group |= 1 << j;
-                }
-            }
-            if self.group_ready(t, routes, group, cycle) {
-                self.fire_group(t, routes, group, cycle);
-                fired |= group;
-                any_fired = true;
-            } else if attribute && block_cause.is_none() {
-                block_cause = self.group_block_cause(t, routes, group, cycle);
-            }
-            gi += 1;
-        }
-        self.tiles[t].switch_prog[net] = prog;
-        self.tiles[t].switch_state[net].fired = fired;
-        let complete = fired == ((1u64 << nroutes) - 1) as u32;
-        let mut ctrl_transition = false;
-        if complete {
-            let prog_len = self.tiles[t].switch_prog[net].len();
-            let st = &mut self.tiles[t].switch_state[net];
-            st.fired = 0;
-            match ctrl_op {
-                SwitchCtrl::Next => {
-                    st.pc += 1;
-                    if st.pc >= prog_len {
-                        st.halted = true;
-                    }
-                }
-                SwitchCtrl::Jump(pc) => st.pc = pc,
-                SwitchCtrl::WaitPc => st.halted = true,
-            }
-            // A route-less instruction (nop / WaitPc) completing is a pure
-            // control transition: switch state changed with no progress.
-            ctrl_transition = !any_fired;
-        } else if !any_fired {
-            self.tiles[t].switch_stall_cycles += 1;
-            if let Some(cause) = block_cause {
-                self.last_switch_cause[t][net] = cause;
-                if let Some(sink) = self.active_sink() {
-                    sink.lock()
-                        .unwrap()
-                        .switch_stalls(t as u16, net as u8, cause, 1);
-                }
-            }
-        }
-        (any_fired, ctrl_transition)
-    }
-
-    /// Can the route group (a bitmask over `routes`, all sharing
-    /// `(net, src)`) fire this cycle?
-    fn group_ready(&self, t: usize, routes: &[Route], group: u32, cycle: u64) -> bool {
-        let lead = routes[group.trailing_zeros() as usize];
-        let src_ok = match lead.src {
-            SwPort::Proc => self.tiles[t].csto.has_visible(cycle, 0),
-            p => {
-                let d = p.dir().unwrap();
-                self.link_in[t][lead.net][d.index()].has_visible(cycle, 0)
-            }
-        };
-        if !src_ok {
-            return false;
-        }
-        let mut bits = group;
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let r = routes[j];
-            let dst_ok = match r.dst {
-                SwPort::Proc => self.tiles[t].csti[r.net].has_space(),
-                p => {
-                    let d = p.dir().unwrap();
-                    match self.cfg.dim.neighbor(TileId(t as u16), d) {
-                        Some(nb) => {
-                            self.link_in[nb.index()][r.net][d.opposite().index()].has_space()
-                        }
-                        None => match self.device_at(t, r.net, d.index()) {
-                            Some(i) => self.devices[i].can_push(cycle),
-                            None => true, // unbound edge: words drop
-                        },
-                    }
-                }
-            };
-            if !dst_ok {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Why the route group cannot fire this cycle, mirroring
-    /// [`RawMachine::group_ready`]'s refusal order exactly: source word
-    /// not visible, then a full destination FIFO, then a bound edge
-    /// device refusing the word. `None` means the group is actually
-    /// ready (the caller only asks about refused groups).
-    fn group_block_cause(
-        &self,
-        t: usize,
-        routes: &[Route],
-        group: u32,
-        cycle: u64,
-    ) -> Option<SwitchStallCause> {
-        let lead = routes[group.trailing_zeros() as usize];
-        let src_ok = match lead.src {
-            SwPort::Proc => self.tiles[t].csto.has_visible(cycle, 0),
-            p => {
-                let d = p.dir().unwrap();
-                self.link_in[t][lead.net][d.index()].has_visible(cycle, 0)
-            }
-        };
-        if !src_ok {
-            return Some(SwitchStallCause::FifoEmpty);
-        }
-        let mut bits = group;
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let r = routes[j];
-            match r.dst {
-                SwPort::Proc => {
-                    if !self.tiles[t].csti[r.net].has_space() {
-                        return Some(SwitchStallCause::FifoFull);
-                    }
-                }
-                p => {
-                    let d = p.dir().unwrap();
-                    match self.cfg.dim.neighbor(TileId(t as u16), d) {
-                        Some(nb) => {
-                            if !self.link_in[nb.index()][r.net][d.opposite().index()].has_space() {
-                                return Some(SwitchStallCause::FifoFull);
-                            }
-                        }
-                        None => {
-                            if let Some(i) = self.device_at(t, r.net, d.index()) {
-                                if !self.devices[i].can_push(cycle) {
-                                    return Some(SwitchStallCause::DeviceBackpressure);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    fn fire_group(&mut self, t: usize, routes: &[Route], group: u32, cycle: u64) {
-        let lead = routes[group.trailing_zeros() as usize];
-        let word = match lead.src {
-            SwPort::Proc => self.tiles[t].csto.pop_visible(cycle, 0).unwrap(),
-            p => {
-                let d = p.dir().unwrap();
-                self.link_in[t][lead.net][d.index()]
-                    .pop_visible(cycle, 0)
-                    .unwrap()
-            }
-        };
-        let mut bits = group;
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let r = routes[j];
-            match r.dst {
-                SwPort::Proc => {
-                    let ok = self.tiles[t].csti[r.net].push(word, cycle);
-                    debug_assert!(ok);
-                }
-                p => {
-                    let d = p.dir().unwrap();
-                    match self.cfg.dim.neighbor(TileId(t as u16), d) {
-                        Some(nb) => {
-                            let ok = self.link_in[nb.index()][r.net][d.opposite().index()]
-                                .push(word, cycle);
-                            debug_assert!(ok);
-                        }
-                        None => match self.device_at(t, r.net, d.index()) {
-                            Some(i) => self.devices[i].push_out(word, cycle),
-                            None => self.edge_drops += 1,
-                        },
-                    }
-                }
-            }
-            self.routes_fired += 1;
-        }
-    }
-
     /// The earliest cycle `>= self.cycle` on which any component might do
     /// something it could not do on the cycle just stepped, or `None` if
     /// no such cycle exists (a true deadlock / fully drained machine).
@@ -978,7 +687,8 @@ impl RawMachine {
                 // transition, which vetoes quietness), but refuse to skip
                 // if it somehow does.
                 if !st.halted {
-                    if let Some(instr) = tile.switch_prog[net].instrs.get(st.pc) {
+                    let prog = &self.switches[t * NUM_STATIC_NETS + net];
+                    if let Some(instr) = prog.instrs.get(st.pc) {
                         if instr.routes.is_empty() {
                             return Some(now);
                         }
@@ -1103,7 +813,7 @@ impl RawMachine {
     pub fn run(&mut self, n: u64) {
         let deadline = self.cycle + n;
         while self.cycle < deadline {
-            let quiet = self.step_cycle_engine();
+            let quiet = self.step_cycle();
             if quiet && self.cfg.engine.skips() {
                 let target = self.next_event_cycle().unwrap_or(deadline).min(deadline);
                 self.fast_forward_to(target);
@@ -1135,7 +845,7 @@ impl RawMachine {
     pub fn run_until_quiescent(&mut self, window: u64, max_cycles: u64) -> QuiescenceReport {
         let deadline = self.cycle + max_cycles;
         while self.cycle < deadline && self.idle_cycles() < window {
-            let quiet = self.step_cycle_engine();
+            let quiet = self.step_cycle();
             if quiet && self.cfg.engine.skips() {
                 // Stop exactly where per-cycle stepping would declare
                 // quiescence, so the reported cycle matches.

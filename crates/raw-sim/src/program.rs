@@ -52,15 +52,6 @@ pub trait TileProgram: Send {
     fn label(&self) -> &str {
         "tile"
     }
-
-    /// True when `tick` is a guaranteed no-op forever (the idle stub).
-    /// A compiled execution plan (see [`crate::compiled`]) skips the
-    /// whole `TileIo` construction for such tiles; the recorded activity
-    /// ([`Activity::Idle`][crate::trace::Activity::Idle], no token-wait
-    /// hint) must match what the skipped `tick` would have produced.
-    fn is_idle_stub(&self) -> bool {
-        false
-    }
 }
 
 /// A tile with no program: permanently idle.
@@ -71,10 +62,6 @@ impl TileProgram for IdleProgram {
 
     fn label(&self) -> &str {
         "idle"
-    }
-
-    fn is_idle_stub(&self) -> bool {
-        true
     }
 }
 

@@ -129,27 +129,7 @@ impl SwitchInstr {
     /// reported as an error instead of a panic so codegen paths can
     /// surface malformed schedules at construction time.
     pub fn try_new(routes: Vec<Route>, ctrl: SwitchCtrl) -> Result<SwitchInstr, String> {
-        if ctrl == SwitchCtrl::WaitPc && !routes.is_empty() {
-            return Err("WaitPc instructions carry no routes".into());
-        }
-        if routes.len() > MAX_ROUTES_PER_INSTR {
-            return Err(format!(
-                "{} routes exceed the crossbar's {MAX_ROUTES_PER_INSTR}-route instruction limit",
-                routes.len()
-            ));
-        }
-        // A destination may be driven by only one source per network in a
-        // single instruction (a crossbar output has one input selected).
-        for (i, a) in routes.iter().enumerate() {
-            for b in &routes[i + 1..] {
-                if a.net == b.net && a.dst == b.dst {
-                    return Err(format!(
-                        "two routes drive {:?} on net {} in one instruction",
-                        a.dst, a.net
-                    ));
-                }
-            }
-        }
+        check_instr(&routes, ctrl)?;
         Ok(SwitchInstr { routes, ctrl })
     }
 
@@ -162,6 +142,33 @@ impl SwitchInstr {
     pub fn nop() -> SwitchInstr {
         SwitchInstr::new(Vec::new(), SwitchCtrl::Next)
     }
+}
+
+/// The construction invariants of one instruction, shared by
+/// [`SwitchInstr::try_new`] and [`SwitchProgram::validate`].
+fn check_instr(routes: &[Route], ctrl: SwitchCtrl) -> Result<(), String> {
+    if ctrl == SwitchCtrl::WaitPc && !routes.is_empty() {
+        return Err("WaitPc instructions carry no routes".into());
+    }
+    if routes.len() > MAX_ROUTES_PER_INSTR {
+        return Err(format!(
+            "{} routes exceed the crossbar's {MAX_ROUTES_PER_INSTR}-route instruction limit",
+            routes.len()
+        ));
+    }
+    // A destination may be driven by only one source per network in a
+    // single instruction (a crossbar output has one input selected).
+    for (i, a) in routes.iter().enumerate() {
+        for b in &routes[i + 1..] {
+            if a.net == b.net && a.dst == b.dst {
+                return Err(format!(
+                    "two routes drive {:?} on net {} in one instruction",
+                    a.dst, a.net
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A switch processor's instruction memory. The Raw prototype gives each
@@ -220,7 +227,7 @@ impl SwitchProgram {
             ));
         }
         for (pc, i) in self.instrs.iter().enumerate() {
-            SwitchInstr::try_new(i.routes.clone(), i.ctrl).map_err(|e| format!("pc {pc}: {e}"))?;
+            check_instr(&i.routes, i.ctrl).map_err(|e| format!("pc {pc}: {e}"))?;
             if let SwitchCtrl::Jump(target) = i.ctrl {
                 if target >= self.instrs.len() {
                     return Err(format!(

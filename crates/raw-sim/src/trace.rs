@@ -196,14 +196,6 @@ impl TraceWindow {
         }
     }
 
-    /// Render the window in the style of Figure 7-3: one row per tile,
-    /// buckets of `bucket` cycles; `#` mostly-busy, `.` mostly-blocked
-    /// (gray in the paper), ` ` mostly idle.
-    #[deprecated(note = "use to_activity_trace().render_ascii(bucket) — the telemetry exporter")]
-    pub fn render_ascii(&self, bucket: usize) -> String {
-        self.to_activity_trace().render_ascii(bucket)
-    }
-
     /// Per-tile `(busy, blocked, idle)` fractions over the window.
     pub fn tile_fractions(&self, tile: usize) -> (f64, f64, f64) {
         let row = &self.samples[tile];
@@ -214,12 +206,6 @@ impl TraceWindow {
         let busy = row.iter().filter(|a| **a == Activity::Busy).count() as f64;
         let blocked = row.iter().filter(|a| a.is_blocked()).count() as f64;
         (busy / n, blocked / n, (n - busy - blocked) / n)
-    }
-
-    /// CSV rows `tile,cycle,state` for external plotting.
-    #[deprecated(note = "use to_activity_trace().to_csv() — the telemetry exporter")]
-    pub fn to_csv(&self) -> String {
-        self.to_activity_trace().to_csv()
     }
 }
 
@@ -293,25 +279,5 @@ mod tests {
         let csv = w.to_activity_trace().to_csv();
         assert!(csv.contains("0,0,busy"));
         assert!(csv.contains("0,1,cache_stall"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_adapters_match_exporter() {
-        let mut w = TraceWindow::new(2, 5, 4);
-        for cycle in 5..9 {
-            w.record(0, cycle, Activity::Busy);
-            w.record(
-                1,
-                cycle,
-                if cycle % 2 == 0 {
-                    Activity::BlockedRecv
-                } else {
-                    Activity::Idle
-                },
-            );
-        }
-        assert_eq!(w.to_csv(), w.to_activity_trace().to_csv());
-        assert_eq!(w.render_ascii(2), w.to_activity_trace().render_ascii(2));
     }
 }

@@ -752,9 +752,6 @@ fn scheduled_stall_windows_delay_without_divergence() {
         m.schedule_stall(TileId(0), 3, 40);
         m.schedule_stall(TileId(0), 20, 10); // overlapping: merges
         assert_eq!(m.pending_stall_windows(TileId(0)), 2);
-        if engine == EngineMode::Compiled {
-            m.compile_reference_plan();
-        }
         m.run(200);
         assert_eq!(m.pending_stall_windows(TileId(0)), 0);
         let sends = sent_at.lock().unwrap().clone();
@@ -764,6 +761,42 @@ fn scheduled_stall_windows_delay_without_divergence() {
     // Sends resume only after the window [3, 43) expires.
     assert!(sends.iter().skip(3).all(|&c| c >= 43), "sends {sends:?}");
     assert_eq!(counts[Activity::CacheStall.index()], 40);
-    assert_eq!(run(EngineMode::EventSkip), (sends.clone(), counts, cycle));
-    assert_eq!(run(EngineMode::Compiled), (sends, counts, cycle));
+    assert_eq!(run(EngineMode::EventSkip), (sends, counts, cycle));
+}
+
+/// `SwitchInstr`'s fields are public, so a program assembled through them
+/// can carry more routes than the 32-bit `fired` mask tracks; the install
+/// step refuses it instead of overflowing the mask at run time.
+#[test]
+#[should_panic(expected = "33 routes exceed the crossbar's 32-route instruction limit")]
+fn oversized_route_set_is_rejected_at_install() {
+    let mut m = RawMachine::new(RawConfig::default());
+    let mut instr = SwitchInstr::nop();
+    for _ in 0..MAX_ROUTES_PER_INSTR + 1 {
+        instr.routes.push(Route::new(NET0, SwPort::W, SwPort::E));
+    }
+    m.set_switch_program(
+        TileId(5),
+        NET0,
+        SwitchProgram {
+            instrs: vec![instr],
+        },
+    );
+}
+
+/// A jump past the end of a program assembled through the public fields
+/// is refused at install instead of silently halting the switch.
+#[test]
+#[should_panic(expected = "jump target 3 outside the 1-instruction program")]
+fn out_of_range_jump_is_rejected_at_install() {
+    let mut m = RawMachine::new(RawConfig::default());
+    let mut instr = route(NET0, SwPort::W, SwPort::E);
+    instr.ctrl = SwitchCtrl::Jump(3);
+    m.set_switch_program(
+        TileId(5),
+        NET0,
+        SwitchProgram {
+            instrs: vec![instr],
+        },
+    );
 }

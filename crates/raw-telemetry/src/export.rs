@@ -2,9 +2,9 @@
 //! Figure 7-3, decoupled from the simulator's `Activity` type so every
 //! trace consumer goes through one exporter.
 //!
-//! `raw_sim::TraceWindow` converts into an [`ActivityTrace`]; its old
-//! `to_csv` / `render_ascii` methods are deprecated thin adapters over
-//! this module that keep the `fig7_3_*.csv` output format byte-stable.
+//! `raw_sim::TraceWindow::to_activity_trace` converts a recorded window
+//! into an [`ActivityTrace`], whose renderings keep the `fig7_3_*.csv`
+//! output format byte-stable.
 
 use std::fmt::Write as _;
 

@@ -507,40 +507,6 @@ pub fn verify_all(opts: &VerifyOptions) -> VerifyReport {
     }
 }
 
-/// Verified handoff to the schedule-specialization compiler: run the
-/// full static suite over the generated schedule space, and only if
-/// every analysis passes hand the machine to
-/// [`raw_compile::compile_machine`]. A machine whose installed programs
-/// fall outside the verified space is still safe — the compiler lowers
-/// whatever is installed and raw-sim's install-time revalidation
-/// guarantees bit-identity with the interpreter — but callers that want
-/// "verified, then specialized" as one gate use this entry point.
-///
-/// On verification failure the report is returned as the error so the
-/// caller can surface the diagnostics; no plan is installed.
-pub fn verified_compile(
-    machine: &mut raw_sim::RawMachine,
-    opts: &VerifyOptions,
-) -> Result<(VerifyReport, raw_compile::CompileReport), Box<VerifyReport>> {
-    let report = verify_all(opts);
-    if !report.pass {
-        return Err(Box::new(report));
-    }
-    let compiled = raw_compile::compile_machine(machine, &raw_compile::CompileOptions::default())
-        .map_err(|e| {
-        let mut r = report.clone();
-        r.pass = false;
-        r.diagnostics.push(Diag::new(
-            "RC0",
-            Analysis::RouteConflict,
-            "compile",
-            format!("schedule-specialization compile failed after verification: {e}"),
-        ));
-        Box::new(r)
-    })?;
-    Ok((report, compiled))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,31 +544,5 @@ mod tests {
         // repro pipeline).
         let v = serde::Serialize::to_value(&report);
         assert!(matches!(v, serde::Value::Object(_)));
-    }
-
-    #[test]
-    fn verified_compile_gates_and_installs_a_plan() {
-        use std::sync::Arc;
-
-        use raw_lookup::{ForwardingTable, RouteEntry};
-        use raw_xbar::{RawRouter, RouterConfig};
-
-        let routes: Vec<RouteEntry> = (0..4)
-            .map(|p| RouteEntry::new(0x0a00_0000 | (p << 16), 16, p))
-            .collect();
-        let table = Arc::new(ForwardingTable::build(&routes));
-        let mut router = RawRouter::new(RouterConfig::default(), table);
-        assert!(!router.machine.has_compiled_plan());
-
-        let opts = VerifyOptions {
-            quanta: vec![16],
-            lockstep_multicast: false,
-            scale_ns: vec![],
-        };
-        let (verify, compiled) =
-            verified_compile(&mut router.machine, &opts).expect("verified handoff");
-        assert!(verify.pass);
-        assert!(compiled.full_coverage(), "{:?}", compiled.fallbacks);
-        assert!(router.machine.has_compiled_plan());
     }
 }

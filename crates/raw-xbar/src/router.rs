@@ -394,15 +394,6 @@ impl RawRouter {
             out_cols.push(col);
         }
 
-        // With the fabric fully assembled (switch programs, tile
-        // programs, line cards), lower it to a compiled execution plan
-        // when the configuration selects the compiled engine. The
-        // install step revalidates the plan against the machine's own
-        // lowering, so a successful return here cannot change observable
-        // behavior — only the cost of reaching it.
-        raw_compile::compile_if_enabled(&mut machine)
-            .map_err(|e| format!("schedule-specialization compile: {e}"))?;
-
         Ok(RawRouter {
             machine,
             events,

@@ -194,5 +194,4 @@ fn scheduler_mode_is_engine_invariant() {
     };
     let base = run(EngineMode::PerCycle);
     assert_eq!(base, run(EngineMode::EventSkip));
-    assert_eq!(base, run(EngineMode::Compiled));
 }
