@@ -749,12 +749,42 @@ fn run_fabric() {
             p.executor
         );
     }
+    let per_router: Vec<String> = rep
+        .scaling
+        .points
+        .iter()
+        .filter(|p| p.executor == "reference")
+        .map(|p| format!("{} {:.0} KB", p.topology, p.bytes_per_router / 1024.0))
+        .collect();
+    println!("build memory per router: {}", per_router.join(", "));
+    println!(
+        "peak resident memory through the scaling sweep: {:.0} MB",
+        rep.scaling.peak_rss_mb
+    );
     if smoke {
         assert!(
             rep.clos_over_single >= 1.5,
             "smoke: Clos16 only {:.2}x a single router",
             rep.clos_over_single
         );
+        // The resident-memory gate. This smoke run peaks at about
+        // 0.57 GB on a 2-core 16 GB Linux host, and at about 0.68 GB
+        // where the heap is not trimmed between scaling points; Clos256
+        // (448 routers sharing seven route tables) sets the peak. The
+        // 1.5 GB budget is about twice the larger figure, room for
+        // allocator, thread-stack and platform variation, and it still
+        // fails long before the >16 GB that building every router's
+        // tables eagerly once needed here.
+        const SMOKE_RSS_BUDGET_MB: f64 = 1536.0;
+        if rep.scaling.peak_rss_mb > 0.0 {
+            assert!(
+                rep.scaling.peak_rss_mb <= SMOKE_RSS_BUDGET_MB,
+                "smoke: peak resident memory {:.0} MB exceeds the {SMOKE_RSS_BUDGET_MB} MB budget",
+                rep.scaling.peak_rss_mb
+            );
+        } else {
+            println!("smoke: /proc/self/status unreadable, resident-memory gate skipped");
+        }
     } else {
         assert!(
             rep.clos_over_single >= 3.0,

@@ -225,6 +225,14 @@ pub struct ScalingPoint {
     pub wall_mpps: f64,
     pub fingerprint: String,
     pub matches_reference: bool,
+    /// Peak resident memory over this point's runs, in MB: `VmHWM`,
+    /// restarted before the point where the kernel allows it.
+    pub peak_rss_mb: f64,
+    /// Resident memory the point's first `RawFabric::try_new` added,
+    /// per router. The heap's free pages go back to the kernel first
+    /// (glibc only), so reuse of an earlier point's memory does not
+    /// hide the build's cost.
+    pub bytes_per_router: f64,
 }
 
 /// The executor scaling curve (`repro -- fabric` publishes this inside
@@ -242,6 +250,61 @@ pub struct ScalingReport {
     pub clos64_sharded_over_threaded: f64,
     pub clos256_sharded_over_threaded: f64,
     pub all_fingerprints_match: bool,
+    /// Peak resident memory of the process up to the end of the sweep,
+    /// in MB: the larger of the peak before the sweep and every point's
+    /// peak. 0 where `/proc/self/status` cannot be read.
+    pub peak_rss_mb: f64,
+}
+
+/// A memory field of `/proc/self/status`, in bytes (Linux only).
+fn proc_status_bytes(field: &str) -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))?;
+    let kb: u64 = line.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024)
+}
+
+/// Peak resident memory (`VmHWM`) of this process since it started or
+/// since the last [`reset_peak_rss`].
+fn peak_rss_bytes() -> Option<u64> {
+    proc_status_bytes("VmHWM")
+}
+
+fn rss_bytes() -> Option<u64> {
+    proc_status_bytes("VmRSS")
+}
+
+/// Restart the `VmHWM` high-water mark at the current resident size
+/// (Linux `clear_refs` code 5). Where the kernel refuses, the mark keeps
+/// counting from process start, so later readings can only overstate.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
+/// Hand the allocator's free heap pages back to the kernel, so that
+/// resident memory grows next only by what is allocated next rather
+/// than staying flat while freed memory is reused.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_free_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::ffi::c_int;
+    }
+    // SAFETY: glibc's malloc_trim takes no pointers; it only returns
+    // free pages of the process heap to the kernel.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+/// Elsewhere freed memory stays resident, and builds after a larger
+/// one can read low.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_free_heap() {}
+
+fn mb(bytes: u64) -> f64 {
+    bytes as f64 / (1u64 << 20) as f64
 }
 
 /// Run one topology to drain on one executor, timed. `repeats` re-runs
@@ -271,8 +334,17 @@ fn scaling_point(
     let nports = topology.ext_ports();
     let mut best_wall = f64::MAX;
     let mut fab = None;
+    let mut build_bytes = None;
+    release_free_heap();
+    reset_peak_rss();
     for _ in 0..repeats.max(1) {
+        let rss_before = rss_bytes();
         let mut f = RawFabric::try_new(cfg.clone()).expect("valid fabric config");
+        if build_bytes.is_none() {
+            build_bytes = rss_bytes()
+                .zip(rss_before)
+                .map(|(after, before)| after.saturating_sub(before));
+        }
         for s in generate_n(&w, nports) {
             f.offer(s.port, s.release, &s.packet);
         }
@@ -313,6 +385,8 @@ fn scaling_point(
         wall_mpps: fab.delivered_count() as f64 / wall_secs / 1e6,
         fingerprint: format!("{fp:016x}"),
         matches_reference: reference_fp.is_none_or(|r| r == fp),
+        peak_rss_mb: mb(peak_rss_bytes().unwrap_or(0)),
+        bytes_per_router: build_bytes.unwrap_or(0) as f64 / topology.routers() as f64,
     };
     (point, fp)
 }
@@ -329,6 +403,8 @@ pub fn executor_scaling(packets_per_port: usize) -> ScalingReport {
     // Long (non-smoke) sweeps afford a second timing repeat per point;
     // `scaling_point` keeps the faster of the two.
     let repeats = if packets_per_port >= 500 { 2 } else { 1 };
+    // Each point restarts the high-water mark; keep what came before.
+    let peak_before = mb(peak_rss_bytes().unwrap_or(0));
     let mut points = Vec::new();
     for topology in [
         Topology::Single4,
@@ -368,6 +444,10 @@ pub fn executor_scaling(packets_per_port: usize) -> ScalingReport {
         clos64_sharded_over_threaded: ratio(Topology::Clos64),
         clos256_sharded_over_threaded: ratio(Topology::Clos256),
         all_fingerprints_match: points.iter().all(|p| p.matches_reference),
+        peak_rss_mb: points
+            .iter()
+            .map(|p| p.peak_rss_mb)
+            .fold(peak_before, f64::max),
         points,
     }
 }
@@ -387,6 +467,11 @@ pub struct FabricBenchRow {
     pub sharded_over_threaded_wall: f64,
     pub sharded_over_reference_wall: f64,
     pub fingerprints_match: bool,
+    /// Peak resident memory of the topology's largest executor run, MB
+    /// (machine-dependent, like the wall-clock ratios).
+    pub peak_rss_mb: f64,
+    /// Resident memory the topology's build adds, per router.
+    pub bytes_per_router: f64,
 }
 
 /// The digest written to `BENCH_fabric.json` at the repo root: the
@@ -427,6 +512,14 @@ pub fn fabric_bench_digest(rep: &FabricReport) -> FabricBenchDigest {
                 fingerprints_match: reference.matches_reference
                     && threaded.matches_reference
                     && sharded.matches_reference,
+                peak_rss_mb: crate::report::round_to(
+                    [reference, threaded, sharded]
+                        .iter()
+                        .map(|p| p.peak_rss_mb)
+                        .fold(0.0, f64::max),
+                    1,
+                ),
+                bytes_per_router: reference.bytes_per_router.round(),
             })
         })
         .collect();

@@ -21,6 +21,7 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use serde::{Deserialize, Serialize};
 
+use raw_lookup::{ForwardingTable, RouteEntry};
 use raw_net::Packet;
 use raw_telemetry::{Histogram, LinkStats, StageLatency};
 use raw_xbar::{IngressQueueing, OutCollector, RawRouter, RouterConfig, NPORTS};
@@ -364,17 +365,18 @@ impl RawFabric {
         if !verdict.diags.is_empty() {
             return Err(FabricError::Verify(verdict.diags));
         }
+        // One table per distinct route set: every router of a Clos stage
+        // holds the same routes, so a fabric builds a handful of tables,
+        // not one per router. A router on the DIR engine builds the
+        // shared DIR table once; the compact 16-bit split keeps it small.
+        let mut tables: HashMap<&[RouteEntry], Arc<ForwardingTable>> = HashMap::new();
         let mut routers = Vec::with_capacity(plan.routers.len());
         for spec in &plan.routers {
-            // Compact 16-bit DIR split: a dozen canonical 2^24-slot
-            // level-1 arrays per fabric would dwarf the simulation
-            // itself, and the fabric routers run the Patricia engine.
-            let table = Arc::new(raw_lookup::ForwardingTable::build_with_l1_bits(
-                &spec.routes,
-                16,
-            ));
+            let table = tables
+                .entry(&spec.routes)
+                .or_insert_with(|| Arc::new(ForwardingTable::build_with_l1_bits(&spec.routes, 16)));
             routers.push(Mutex::new(
-                RawRouter::try_new_with_telemetry(cfg.router.clone(), table, None)
+                RawRouter::try_new_with_telemetry(cfg.router.clone(), Arc::clone(table), None)
                     .map_err(FabricError::Router)?,
             ));
         }

@@ -535,15 +535,13 @@ impl TopologyPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raw_lookup::{Engine, ForwardingTable};
+    use raw_lookup::PatriciaTable;
 
-    /// Build every router's table once, with the compact DIR split —
-    /// the canonical 2^24-slot level-1 array is far too heavy to build
-    /// per router inside the per-pair loops below.
-    fn build_tables(plan: &TopologyPlan) -> Vec<ForwardingTable> {
+    /// Build every router's trie once, outside the per-pair loops below.
+    fn build_tables(plan: &TopologyPlan) -> Vec<PatriciaTable> {
         plan.routers
             .iter()
-            .map(|r| ForwardingTable::build_with_l1_bits(&r.routes, 16))
+            .map(|r| PatriciaTable::build(&r.routes))
             .collect()
     }
 
@@ -552,7 +550,7 @@ mod tests {
     /// reaches (purely a model of the tables — no simulation).
     fn model_route(
         plan: &TopologyPlan,
-        tables: &[ForwardingTable],
+        tables: &[PatriciaTable],
         src_ext: usize,
         d: u8,
         m: u8,
@@ -561,8 +559,9 @@ mod tests {
         let (mut r, _) = plan.ext_in[src_ext];
         let mut hops = 0;
         loop {
-            let (hit, _) = tables[r].lookup(Engine::Patricia, addr);
-            let out = hit.expect("default route always matches") as usize;
+            let out = tables[r]
+                .lookup(addr)
+                .expect("default route always matches") as usize;
             hops += 1;
             match plan.link_out_of(r, out) {
                 Some(li) => r = plan.links[li].to.0,
@@ -655,7 +654,7 @@ mod tests {
             let addr = fabric_addr(37, m);
             let (mut r, _) = p.ext_in[5];
             for _ in 0..2 {
-                let (hit, _) = tables[r].lookup(Engine::Patricia, addr);
+                let hit = tables[r].lookup(addr);
                 let li = p.link_out_of(r, hit.unwrap() as usize).unwrap();
                 r = p.links[li].to.0;
             }
@@ -693,10 +692,10 @@ mod tests {
         // full src x dst x spray space is covered by the RV6xx static
         // walks, which dedupe shared tables; this model-level check
         // keeps the plan builder honest independently of the verifier).
-        // All routers of a stage share one table, so build 7 tables —
-        // not 448 copies of the compact-DIR split.
-        let stage_tables: Vec<ForwardingTable> = (0..7)
-            .map(|s| ForwardingTable::build_with_l1_bits(&p.routers[s * 64].routes, 16))
+        // All routers of a stage share one table, so build 7 tries,
+        // not 448.
+        let stage_tables: Vec<PatriciaTable> = (0..7)
+            .map(|s| PatriciaTable::build(&p.routers[s * 64].routes))
             .collect();
         for src in (0..256).step_by(17) {
             for d in 0..=255u8 {
@@ -705,9 +704,10 @@ mod tests {
                     let (mut r, _) = p.ext_in[src];
                     let mut hops = 0;
                     let ext = loop {
-                        let (hit, _) =
-                            stage_tables[p.routers[r].stage].lookup(Engine::Patricia, addr);
-                        let out = hit.expect("default route always matches") as usize;
+                        let out = stage_tables[p.routers[r].stage]
+                            .lookup(addr)
+                            .expect("default route always matches")
+                            as usize;
                         hops += 1;
                         match p.link_out_of(r, out) {
                             Some(li) => r = p.links[li].to.0,

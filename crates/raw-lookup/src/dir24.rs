@@ -74,35 +74,40 @@ impl DirTable {
     /// longer than `l1_bits` live in level 1; longer ones chain to
     /// level-2 blocks of `2^(32 - l1_bits)` slots, one per address.
     pub fn with_bits(routes: &[RouteEntry], l1_bits: u8) -> DirTable {
+        DirTable::from_vec(routes.to_vec(), l1_bits)
+    }
+
+    /// [`DirTable::with_bits`] over a route list it may reorder: the
+    /// list is masked, sorted and deduplicated in place, so the build
+    /// needs no second copy of a BGP-scale (~1M-route) table.
+    pub fn from_vec(mut routes: Vec<RouteEntry>, l1_bits: u8) -> DirTable {
         assert!(
             (16..=24).contains(&l1_bits),
             "level-2 blocks index all remaining bits"
         );
+        for r in &mut routes {
+            r.prefix = mask(r.prefix, r.len);
+        }
+        // Short prefixes first so longer ones overwrite them. The sort is
+        // stable, so duplicates of one prefix stay in input order and
+        // folding each run into its first entry with the run's last next
+        // hop lets the last occurrence win, matching
+        // PatriciaTable::insert replacement semantics.
+        routes.sort_by_key(|r| (r.len, r.prefix));
+        routes.dedup_by(|later, kept| {
+            let dup = (later.len, later.prefix) == (kept.len, kept.prefix);
+            if dup {
+                kept.next_hop = later.next_hop;
+            }
+            dup
+        });
         let mut t = DirTable {
             l1_bits,
             l1: vec![L1::default(); 1usize << l1_bits],
             l2: Vec::new(),
             routes: 0,
         };
-        // Deduplicate exact prefixes: the last occurrence in input order
-        // wins, matching PatriciaTable::insert replacement semantics.
-        // Indexed by a map so BGP-scale builds (~1M routes) stay linear.
-        let mut chosen: Vec<RouteEntry> = Vec::with_capacity(routes.len());
-        let mut index: std::collections::HashMap<(u32, u8), usize> =
-            std::collections::HashMap::with_capacity(routes.len());
         for r in routes {
-            let key = (mask(r.prefix, r.len), r.len);
-            match index.get(&key) {
-                Some(&i) => chosen[i].next_hop = r.next_hop,
-                None => {
-                    index.insert(key, chosen.len());
-                    chosen.push(RouteEntry::new(r.prefix, r.len, r.next_hop));
-                }
-            }
-        }
-        // Insert short prefixes first so longer ones overwrite (stable).
-        chosen.sort_by_key(|r| r.len);
-        for r in chosen {
             t.insert(r);
         }
         t

@@ -9,7 +9,7 @@
 //! deepest matching route.
 
 /// A route entry: `addr/len -> next_hop`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct RouteEntry {
     pub prefix: u32,
     pub len: u8,
@@ -26,22 +26,25 @@ impl RouteEntry {
         }
     }
 
-    /// True if `addr` falls inside this prefix.
+    /// True if `addr` falls inside this prefix. Host bits set below the
+    /// mask (an entry built through the public fields rather than
+    /// [`RouteEntry::new`]) are ignored, as every table builder does.
     #[inline]
     pub fn matches(&self, addr: u32) -> bool {
-        mask(addr, self.len) == self.prefix
+        mask(addr ^ self.prefix, self.len) == 0
     }
 }
 
 /// Longest-prefix match by linear scan over a plain route slice: the
 /// executable *specification* of LPM that every engine in this crate
 /// (and the fabric-level static verifier in raw-verify) is measured
-/// against. Ties between entries of equal length and equal prefix
-/// resolve to the first entry, matching the table builders' semantics.
+/// against. Ties between entries of equal length and equal masked
+/// prefix resolve to the last entry, matching the table builders'
+/// semantics ([`PatriciaTable::insert`] replaces).
 pub fn reference_lpm(routes: &[RouteEntry], addr: u32) -> Option<u32> {
     let mut best: Option<&RouteEntry> = None;
     for r in routes {
-        if r.matches(addr) && best.is_none_or(|b| r.len > b.len) {
+        if r.matches(addr) && best.is_none_or(|b| r.len >= b.len) {
             best = Some(r);
         }
     }
@@ -110,6 +113,16 @@ impl PatriciaTable {
             root: Node::new(0, 0),
             len: 0,
         }
+    }
+
+    /// A table holding `routes`, inserted in order (a later duplicate
+    /// replaces an earlier one).
+    pub fn build(routes: &[RouteEntry]) -> PatriciaTable {
+        let mut t = PatriciaTable::new();
+        for r in routes {
+            t.insert(*r);
+        }
+        t
     }
 
     /// Number of routes stored.

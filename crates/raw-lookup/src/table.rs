@@ -6,6 +6,8 @@
 //! and derive the cycles a Lookup Processor spends per lookup from the
 //! memory accesses each structure performs.
 
+use std::sync::LazyLock;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -163,11 +165,19 @@ impl LookupMemModel {
     }
 }
 
-/// A forwarding table bundling both structures, with a common interface
-/// for the router and the benchmarks.
+/// The DIR-24-8 half of a [`ForwardingTable`]: built from its own copy
+/// of the routes the first time it is dereferenced (or forced with
+/// [`LazyLock::force`]).
+pub type LazyDir = LazyLock<Dir24_8, Box<dyn FnOnce() -> Dir24_8 + Send>>;
+
+/// A route set behind both lookup structures, with a common interface
+/// for the router and the benchmarks. The Patricia trie is built with
+/// the table; the DIR-24-8 table only when a lookup or a caller first
+/// reaches it, so a router on the Patricia engine never pays for the
+/// DIR table's level-1 array.
 pub struct ForwardingTable {
     pub patricia: PatriciaTable,
-    pub dir: Dir24_8,
+    pub dir: LazyDir,
     pub cost: LookupCostModel,
 }
 
@@ -184,19 +194,16 @@ impl ForwardingTable {
     }
 
     /// Build with a reduced DIR level-1 split (see [`DirTable::with_bits`]).
-    /// The canonical 24-bit level 1 is a 2^24-slot array — fine for one
-    /// router, prohibitive when a fabric instantiates a dozen tables per
-    /// construction. A 16-bit split runs the identical algorithm in
-    /// 2^16 slots; use it wherever the DIR engine's memory layout is not
-    /// itself under measurement.
+    /// The canonical 24-bit level 1 is a 2^24-slot array; a 16-bit split
+    /// runs the identical algorithm in 2^16 slots. Use it wherever the
+    /// DIR engine's memory layout is not itself under measurement.
+    ///
+    /// [`DirTable::with_bits`]: crate::DirTable::with_bits
     pub fn build_with_l1_bits(routes: &[RouteEntry], l1_bits: u8) -> ForwardingTable {
-        let mut patricia = PatriciaTable::new();
-        for r in routes {
-            patricia.insert(*r);
-        }
+        let owned = routes.to_vec();
         ForwardingTable {
-            patricia,
-            dir: Dir24_8::with_bits(routes, l1_bits),
+            patricia: PatriciaTable::build(routes),
+            dir: LazyLock::new(Box::new(move || Dir24_8::from_vec(owned, l1_bits))),
             cost: LookupCostModel::default(),
         }
     }

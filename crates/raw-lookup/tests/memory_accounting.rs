@@ -41,11 +41,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Build at 1M prefixes and compare `memory_bytes` to the live-byte
 /// delta the allocator observed across the build. The build's
-/// temporaries (dedup map, sorted route list) are freed before it
-/// returns, so the net delta is the table itself. The reported figure
-/// must cover everything the allocator saw and overshoot by at most the
-/// `Vec` control words the capacity arithmetic cannot see (three usize
-/// per vec, negligible at this scale).
+/// temporary (its masked, sorted and deduplicated copy of the routes)
+/// is freed before it returns, so the net delta is the table itself.
+/// The reported figure must cover everything the allocator saw and
+/// overshoot by at most the `Vec` control words the capacity arithmetic
+/// cannot see (three usize per vec, negligible at this scale).
 #[test]
 fn memory_bytes_matches_allocator_at_1m_prefixes() {
     // The synthesized mix includes /25–/32 prefixes, so level-2 blocks

@@ -242,16 +242,17 @@ fn check_credits(spec: &FabricSpec, diags: &mut Vec<Diag>) -> u64 {
 // ---------------------------------------------------------------------
 
 /// Len-bucketed exact-match index over one route table. Semantics are
-/// identical to [`reference_lpm`] — the strictly-longer match wins, and
-/// the *first* entry wins among duplicates of equal length and prefix —
-/// proven by a differential test below. Lookup cost is O(distinct
-/// prefix lengths) instead of O(table size), which is what makes full
-/// address-space coverage of the 16K-entry Clos256 ascending-stage
-/// tables tractable.
+/// identical to [`reference_lpm`] and to the table builders — the
+/// strictly-longer match wins, host bits below a prefix's mask are
+/// ignored, and the *last* entry wins among duplicates of equal length
+/// and masked prefix — proven by differential tests below. Lookup cost
+/// is O(distinct prefix lengths) instead of O(table size), which is
+/// what makes full address-space coverage of the 16K-entry Clos256
+/// ascending-stage tables tractable.
 struct LpmIndex {
     /// Distinct prefix lengths, descending.
     lens: Vec<u8>,
-    /// Parallel to `lens`: masked prefix → next hop (first entry wins).
+    /// Parallel to `lens`: masked prefix → next hop (last entry wins).
     buckets: Vec<HashMap<u32, u32>>,
 }
 
@@ -263,11 +264,7 @@ impl LpmIndex {
         let mut buckets = vec![HashMap::new(); lens.len()];
         for r in routes {
             let i = lens.iter().position(|&l| l == r.len).unwrap();
-            // Keep the raw stored prefix as the key: a non-canonical
-            // entry (host bits set below its mask) never matches in the
-            // reference scan, and a masked address can never equal it
-            // here either.
-            buckets[i].entry(r.prefix).or_insert(r.next_hop);
+            buckets[i].insert(mask(r.prefix, r.len), r.next_hop);
         }
         LpmIndex { lens, buckets }
     }
@@ -1073,13 +1070,77 @@ mod tests {
     }
 
     #[test]
-    fn lpm_index_keeps_first_entry_on_equal_len_and_prefix() {
+    fn lpm_index_keeps_last_entry_on_equal_len_and_prefix() {
         let routes = [
             RouteEntry::new(0x0a00_0000, 16, 1),
             RouteEntry::new(0x0a00_0000, 16, 2),
         ];
-        assert_eq!(LpmIndex::build(&routes).lookup(0x0a00_0001), Some(1));
-        assert_eq!(reference_lpm(&routes, 0x0a00_0001), Some(1));
+        assert_eq!(LpmIndex::build(&routes).lookup(0x0a00_0001), Some(2));
+        assert_eq!(reference_lpm(&routes, 0x0a00_0001), Some(2));
+    }
+
+    /// The verifier must prove the table the simulator runs. A table
+    /// with duplicate prefixes and prefixes whose host bits are set
+    /// (built through the public fields, bypassing `RouteEntry::new`)
+    /// resolves identically through both table builders, the
+    /// reference scan and the verifier's index.
+    #[test]
+    fn every_lpm_agrees_on_duplicate_and_unmasked_prefixes() {
+        use raw_lookup::{DirTable, PatriciaTable};
+        let raw = |prefix: u32, len: u8, next_hop: u32| RouteEntry {
+            prefix,
+            len,
+            next_hop,
+        };
+        let routes = vec![
+            raw(0, 0, 9),
+            raw(0x0a00_0000, 8, 1),
+            raw(0x0a12_3456, 8, 2), // unmasked duplicate of 10/8: wins
+            raw(0x0a01_0000, 16, 3),
+            raw(0x0a01_0000, 16, 4), // exact duplicate: wins
+            raw(0x0a01_02ff, 24, 5), // unmasked 10.1.2/24
+            raw(0x0a01_0280, 25, 6),
+            raw(0x0a01_0281, 25, 7), // unmasked duplicate of 10.1.2.128/25
+            raw(0x0a01_0203, 32, 8),
+            raw(0xffff_ffff, 0, 10), // unmasked duplicate of the default
+        ];
+        let patricia = PatriciaTable::build(&routes);
+        let dir = DirTable::with_bits(&routes, 16);
+        let dir_vec = DirTable::from_vec(routes.clone(), 20);
+        let idx = LpmIndex::build(&routes);
+        let mut probes = vec![
+            0x0a01_0203,
+            0x0a01_0204,
+            0x0a01_0281,
+            0x0a01_0201,
+            0x0a01_0301,
+            0x0a02_0000,
+            0x0b00_0000,
+            0,
+            u32::MAX,
+        ];
+        let mut x = 0x9e37_79b9u32;
+        for _ in 0..2048 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            // Half the probes land inside 10/8, where every route lives.
+            probes.push(if x & 1 == 0 {
+                x
+            } else {
+                0x0a00_0000 | (x >> 8) & 0x0003_ffff
+            });
+        }
+        for addr in probes {
+            let want = reference_lpm(&routes, addr);
+            assert_eq!(patricia.lookup(addr), want, "patricia @ {addr:#010x}");
+            assert_eq!(dir.lookup(addr), want, "with_bits @ {addr:#010x}");
+            assert_eq!(dir_vec.lookup(addr), want, "from_vec @ {addr:#010x}");
+            assert_eq!(idx.lookup(addr), want, "LpmIndex @ {addr:#010x}");
+        }
+        assert_eq!(reference_lpm(&routes, 0x0a09_0000), Some(2));
+        assert_eq!(reference_lpm(&routes, 0x0a01_0000), Some(4));
+        assert_eq!(reference_lpm(&routes, 0x0a01_0280), Some(7));
+        assert_eq!(reference_lpm(&routes, 0x0a01_0203), Some(8));
+        assert_eq!(reference_lpm(&routes, 0x0b00_0000), Some(10));
     }
 
     #[test]

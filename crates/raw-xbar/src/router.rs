@@ -2,7 +2,7 @@
 //! programs + line cards, with measurement helpers for the paper's
 //! experiments.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 
 use raw_lookup::{Engine, ForwardingTable};
 use raw_net::{ComputeOp, Packet};
@@ -244,6 +244,11 @@ impl RawRouter {
         } else {
             ConfigSpace::enumerate(cfg.policy)
         });
+        // Build the structure the configured engine reads now, so its
+        // cost lands in construction rather than in the first `run`.
+        if cfg.engine == Engine::Dir24_8 {
+            LazyLock::force(&table.dir);
+        }
         let token_seq = token_schedule(cfg.weights);
         let dim = layout.dim;
 
